@@ -241,12 +241,45 @@ func demandVector(comms []routing.Commodity, d *traffic.Matrix) []float64 {
 // solveFW is the iterative offline solver: smoothed Frank–Wolfe over the
 // product of flow polytopes for (r, p).
 func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg Config) (*Plan, error) {
-	nL := g.NumLinks()
-	nK := len(comms)
 	iters := cfg.Iterations
 	if iters == 0 {
 		iters = 200
 	}
+	st, err := newFWState(g, comms, reqs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.run(iters)
+
+	// ---- Package the plan ----
+	base := routing.NewFlow(g, comms)
+	for k := range comms {
+		base.Frac[k] = st.R[k]
+		base.Comms[k].Demand = reqs[0].demands[k]
+	}
+	base.RemoveLoops()
+	sanitizeProt(g, st.P)
+	plan := &Plan{
+		G:     g,
+		Model: reqs[highestModelIndex(reqs)].model,
+		Base:  base,
+		Prot:  st.P,
+		MLU:   st.objective(),
+	}
+	plan.NormalMLU = routing.MLU(g, base.Loads())
+	// The epoch loop tracked the running objective; settle the gauge on
+	// the restored-best plan value.
+	st.o.mlu.Set(plan.MLU)
+	return plan, nil
+}
+
+// newFWState builds the solver's starting iterate: the base routing R
+// (optimized from a MinMLU start, pinned to the MinMLU optimum under a
+// penalty envelope, or the caller's), the protection routing P and the
+// delay envelope bounds.
+func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg Config) (*fwState, error) {
+	nL := g.NumLinks()
+	nK := len(comms)
 	capac := make([]float64, nL)
 	for e := 0; e < nL; e++ {
 		capac[e] = g.Link(graph.LinkID(e)).Capacity
@@ -271,6 +304,9 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 			optimizeBase = false
 		}
 		res := mcf.MinMLU(g, initComms, mcf.Options{Iterations: initIters})
+		if res.Dropped > 0 {
+			return nil, unreachableODError(res.Flow)
+		}
 		for k := 0; k < nK; k++ {
 			R[k] = append([]float64(nil), res.Flow.Frac[k]...)
 		}
@@ -351,28 +387,28 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		cfg.Obs.GaugeFunc("fw.pool_loops", func() int64 { loops, _ := pool.Stats(); return loops })
 		cfg.Obs.GaugeFunc("fw.pool_items", func() int64 { _, items := pool.Stats(); return items })
 	}
-	st.run(iters)
+	return st, nil
+}
 
-	// ---- Package the plan ----
-	base := routing.NewFlow(g, comms)
-	for k := 0; k < nK; k++ {
-		base.Frac[k] = st.R[k]
-		base.Comms[k].Demand = totalDemand[k]
+// unreachableODError names the first commodity that MinMLU dropped as
+// unreachable: its row carries no flow. Every commodity here has positive
+// demand in some matrix, so a plan that dropped it would under-report its
+// MLU.
+func unreachableODError(f *routing.Flow) error {
+	for k, row := range f.Frac {
+		routed := false
+		for _, v := range row {
+			if v != 0 {
+				routed = true
+				break
+			}
+		}
+		if !routed {
+			c := f.Comms[k]
+			return fmt.Errorf("core: OD %d->%d (demand %g) is unreachable in the base topology", c.Src, c.Dst, c.Demand)
+		}
 	}
-	base.RemoveLoops()
-	sanitizeProt(g, st.P)
-	plan := &Plan{
-		G:     g,
-		Model: reqs[highestModelIndex(reqs)].model,
-		Base:  base,
-		Prot:  st.P,
-		MLU:   st.objective(),
-	}
-	plan.NormalMLU = routing.MLU(g, base.Loads())
-	// The epoch loop tracked the running objective; settle the gauge on
-	// the restored-best plan value.
-	st.o.mlu.Set(plan.MLU)
-	return plan, nil
+	return errors.New("core: base routing dropped an unreachable OD")
 }
 
 func highestModelIndex(reqs []requirement) int {
@@ -443,6 +479,15 @@ type fwState struct {
 	o            fwObs
 	spfMode      spf.Mode // resolved kernel mode (never ModeAuto)
 
+	// Row-support index of R: rSupp[k] lists, in no particular order,
+	// every link on which row k has been nonzero since the index was
+	// built, and rMark is its membership bitmap (rWords words per row).
+	// Every cell of R off its row's support is +0, so passes over R read
+	// only the support (see DESIGN.md §9, "Sparse commodity rows").
+	rSupp  [][]graph.LinkID
+	rMark  []uint64
+	rWords int
+
 	// best-so-far snapshot by true objective
 	bestObj float64
 	bestR   [][]float64
@@ -474,10 +519,11 @@ type fwState struct {
 }
 
 // fwArena holds the solver's reusable buffers. Ownership rule: a buffer is
-// either fully overwritten by its producer before any read (q, us, dirR,
+// either fully overwritten by its producer before any read (q, us, dirRows,
 // dirP, pcolDir, dirLoads, rCost, diff) or explicitly zeroed at the start
-// of the producing pass (costP, loads); consumers never read a buffer
-// across an epoch boundary.
+// of the producing pass (costP, loads, and dirR on its row's support, the
+// only cells it is ever written on); consumers never read a buffer across
+// an epoch boundary.
 type fwArena struct {
 	objLoads [][]float64 // objective(): base loads [req][link]
 	loads    [][]float64 // run(): epoch base loads [req][link]
@@ -486,7 +532,8 @@ type fwArena struct {
 	expu     [][]float64 // r-sweep: cached exp terms for u0 [req][link]
 	diff     []float64   // r-sweep: xDir - rk per link
 	active   []int32     // r-sweep: links with nonzero diff
-	dirR     [][]float64 // global step: direction fractions [commodity][link]
+	dirRows  [][]float64 // global step: direction row per commodity (R[k] itself, or its dirR row)
+	dirR     [][]float64 // global step: oracle-path rows [commodity][link] (optimizeBase only)
 	dirLoads [][]float64 // global step: direction loads [req][link]
 	dirP     [][]float64 // global step: direction protection [link][link]
 	pcolDir  [][]float64 // global step: direction columns [link][link]
@@ -533,7 +580,10 @@ func (s *fwState) ensureArena() {
 	a.expu = newMatrix(nI, nL)
 	a.diff = make([]float64, nL)
 	a.active = make([]int32, nL)
-	a.dirR = newMatrix(nK, nL)
+	a.dirRows = make([][]float64, nK)
+	if s.optimizeBase {
+		a.dirR = newMatrix(nK, nL)
+	}
 	a.dirLoads = newMatrix(nI, nL)
 	a.dirP = newMatrix(nL, nL)
 	a.pcolDir = newMatrix(nL, nL)
@@ -580,62 +630,70 @@ func (s *fwState) putBuf(b []float64) {
 }
 
 // baseLoads computes per-requirement per-link base loads for fractions R
-// into dst (allocated when nil). Work is split over (requirement,
-// link-chunk) tasks: each link cell is zeroed and then summed over
-// commodities in ascending k order by exactly one worker, so the result is
-// bit-identical for any worker count; the inline variant runs the same
-// zero-then-accumulate per cell without spawning closures, so warm calls
-// are allocation-free on a serial pool.
+// into dst (allocated when nil). R is s.R or the global step's direction
+// rows, whose nonzeros all lie on the row-support index, so each row is
+// read only there. Every link cell is zeroed and then summed over
+// commodities in ascending k order — the order of the dense pass — so the
+// loads are bit-identical to it; warm calls are allocation-free.
 func (s *fwState) baseLoads(R [][]float64, dst [][]float64) [][]float64 {
-	nL := s.g.NumLinks()
 	if dst == nil {
-		dst = newMatrix(len(s.reqs), nL)
+		dst = newMatrix(len(s.reqs), s.g.NumLinks())
 	}
-	if s.pool.Inline() {
-		for i := range s.reqs {
-			dem := s.reqs[i].demands
-			li := dst[i]
-			for e := range li {
-				li[e] = 0
-			}
-			for k := range s.comms {
-				d := dem[k]
-				if d == 0 {
-					continue
-				}
-				rk := R[k]
-				for e := 0; e < nL; e++ {
-					if v := rk[e]; v != 0 {
-						li[e] += d * v
-					}
-				}
-			}
-		}
-		return dst
-	}
-	nC := par.NumChunks(nL)
-	s.pool.ForEach(len(s.reqs)*nC, func(t int) {
-		i := t / nC
-		lo, hi := par.Chunk(nL, t%nC)
+	supp := s.support()
+	for i := range s.reqs {
 		dem := s.reqs[i].demands
 		li := dst[i]
-		for e := lo; e < hi; e++ {
+		for e := range li {
 			li[e] = 0
 		}
-		for k := range s.comms {
+		for k, sk := range supp {
 			d := dem[k]
 			if d == 0 {
 				continue
 			}
 			rk := R[k]
-			for e := lo; e < hi; e++ {
+			for _, e := range sk {
 				if v := rk[e]; v != 0 {
 					li[e] += d * v
 				}
 			}
 		}
-	})
+	}
 	return dst
+}
+
+// support returns the row-support index of R, building it from R's
+// nonzero cells (any nonzero bit pattern, -0 included) on first use.
+func (s *fwState) support() [][]graph.LinkID {
+	if s.rSupp != nil {
+		return s.rSupp
+	}
+	nL := s.g.NumLinks()
+	s.rWords = (nL + 63) / 64
+	s.rMark = make([]uint64, len(s.R)*s.rWords)
+	s.rSupp = make([][]graph.LinkID, len(s.R))
+	for k, rk := range s.R {
+		mark := s.rMark[k*s.rWords : (k+1)*s.rWords]
+		for e, v := range rk {
+			if math.Float64bits(v) != 0 {
+				mark[e/64] |= 1 << (uint(e) % 64)
+				s.rSupp[k] = append(s.rSupp[k], graph.LinkID(e))
+			}
+		}
+	}
+	return s.rSupp
+}
+
+// growSupport adds the links of path to row k's support. It touches only
+// row k's entries, so distinct rows may grow concurrently.
+func (s *fwState) growSupport(k int, path []graph.LinkID) {
+	mark := s.rMark[k*s.rWords : (k+1)*s.rWords]
+	for _, id := range path {
+		if bit := uint64(1) << (uint(id) % 64); mark[id/64]&bit == 0 {
+			mark[id/64] |= bit
+			s.rSupp[k] = append(s.rSupp[k], id)
+		}
+	}
 }
 
 // columns builds pcol[e][l] = c_l * P[l][e].
@@ -970,7 +1028,7 @@ func (s *fwState) run(effort int) {
 
 		// ---- Global step ----
 		gsSp := epochSp.Child("global-step")
-		gamma := s.globalStep(loads, W, q, rPaths, pPaths, mu)
+		gamma := s.globalStep(loads, rPaths, pPaths, mu)
 		gsSp.End()
 		s.o.step.Set(gamma)
 		rebuildTops()
@@ -1544,26 +1602,29 @@ func (s *fwState) run(effort int) {
 // with one shared line-searched step on the smoothed objective. It mutates
 // s.R, s.P and s.pcol (the caller refreshes loads and W) and returns the
 // accepted step size (0 when the line search rejects the direction).
-func (s *fwState) globalStep(loads, W [][]float64, q [][]float64, rPaths, pPaths [][]graph.LinkID, mu float64) float64 {
+func (s *fwState) globalStep(loads [][]float64, rPaths, pPaths [][]graph.LinkID, mu float64) float64 {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
-	_ = W
 
-	// Direction loads for r. Rows are fully overwritten (zeroed or copied)
-	// before use, so the arena needs no clearing between epochs.
-	dirR := s.ar.dirR
-	fillDirR := func(k int) {
-		row := dirR[k]
+	// Direction rows for r: a commodity without an oracle path keeps its
+	// routing, so its direction row is R[k] itself; otherwise it is the
+	// path's indicator in the dirR arena. rDirections grew the support
+	// with the path, and an arena row is only ever written on its
+	// support, so zeroing the support clears the whole row.
+	dirR := s.ar.dirRows
+	for k := range s.comms {
 		if rPaths == nil || rPaths[k] == nil {
-			copy(row, s.R[k])
-			return
+			dirR[k] = s.R[k]
+			continue
 		}
-		for e := range row {
+		row := s.ar.dirR[k]
+		for _, e := range s.rSupp[k] {
 			row[e] = 0
 		}
 		for _, id := range rPaths[k] {
 			row[id] = 1
 		}
+		dirR[k] = row
 	}
 	// Direction columns for p.
 	dirP := s.ar.dirP
@@ -1581,14 +1642,10 @@ func (s *fwState) globalStep(loads, W [][]float64, q [][]float64, rPaths, pPaths
 		}
 	}
 	if s.pool.Inline() {
-		for k := range s.comms {
-			fillDirR(k)
-		}
 		for l := 0; l < nL; l++ {
 			fillDirP(l)
 		}
 	} else {
-		s.pool.ForEach(len(s.comms), fillDirR)
 		s.pool.ForEach(nL, fillDirP)
 	}
 	dirLoads := s.baseLoads(dirR, s.ar.dirLoads)
@@ -1641,12 +1698,13 @@ func (s *fwState) globalStep(loads, W [][]float64, q [][]float64, rPaths, pPaths
 	if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
 		return 0
 	}
-	s.pool.ForEach(len(s.comms), func(k int) {
-		rk, dk := s.R[k], dirR[k]
-		for e := 0; e < nL; e++ {
+	// Off the support both rows are +0, where the update keeps +0.
+	for k, rk := range s.R {
+		dk := dirR[k]
+		for _, e := range s.rSupp[k] {
 			rk[e] = (1-gamma)*rk[e] + gamma*dk[e]
 		}
-	})
+	}
 	s.pool.ForEach(nL, func(l int) {
 		pl, dl := s.P[l], dirP[l]
 		for e := 0; e < nL; e++ {
@@ -1870,7 +1928,9 @@ func ternaryMin(f func(float64) float64, iters int) float64 {
 }
 
 // rDirections computes the oracle path per OD commodity under the current
-// gradient weights, honoring the delay envelope. With one requirement the
+// gradient weights, honoring the delay envelope, and adds each path to its
+// commodity's row support (the global step and the r sweep both move mass
+// only onto these paths). With one requirement the
 // cost is shared and grouped by destination; with several the costs are
 // demand-weighted per commodity.
 func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
@@ -1913,6 +1973,7 @@ func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
 					s.ar.rPathBuf[k] = p
 				}
 				paths[k] = s.checkedPath(k, p, cost)
+				s.growSupport(k, paths[k])
 			}
 			s.spfPool.Put(sc)
 		}
@@ -1945,6 +2006,7 @@ func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
 			s.ar.rPathBuf[k] = p
 		}
 		paths[k] = s.checkedPath(k, p, cost)
+		s.growSupport(k, paths[k])
 		s.spfPool.Put(sc)
 	}
 	if s.pool.Inline() {
@@ -2005,8 +2067,13 @@ func (s *fwState) snapshotBest(obj float64) {
 			s.bestP[l] = make([]float64, len(s.P[l]))
 		}
 	}
-	for k := range s.R {
-		copy(s.bestR[k], s.R[k])
+	// The support only grows, so bestR is +0 wherever R's support has
+	// never reached: copying the support copies the whole row.
+	for k, sk := range s.support() {
+		rk, bk := s.R[k], s.bestR[k]
+		for _, e := range sk {
+			bk[e] = rk[e]
+		}
 	}
 	for l := range s.P {
 		copy(s.bestP[l], s.P[l])
@@ -2018,8 +2085,13 @@ func (s *fwState) restoreBest() {
 	if s.bestR == nil {
 		return
 	}
-	for k := range s.R {
-		copy(s.R[k], s.bestR[k])
+	// The current support covers the snapshot's, and off it both rows
+	// are +0.
+	for k, sk := range s.rSupp {
+		rk, bk := s.R[k], s.bestR[k]
+		for _, e := range sk {
+			rk[e] = bk[e]
+		}
 	}
 	for l := range s.P {
 		copy(s.P[l], s.bestP[l])

@@ -84,6 +84,12 @@ type Result struct {
 // the given commodities (with their demands) over alive links, on top of
 // the optional background load. Unreachable commodities are dropped with
 // zero allocation.
+//
+// Every iterate row is a convex combination of a few simple oracle paths,
+// so the solver keeps each commodity's row as its nonzero cells (its
+// support) plus one oracle path per iteration, and touches only those
+// cells; DESIGN.md §9 ("Sparse commodity rows") argues why this
+// reproduces the dense (1-γ)f + γd update bit for bit.
 func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	opts.defaults()
 	nL := g.NumLinks()
@@ -101,38 +107,78 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 		bg = make([]float64, nL)
 	}
 
-	// Reachability screen; remember reachable commodities.
-	reach := make([]bool, len(comms))
-	dropped := 0
-	distCache := map[graph.NodeID][]float64{}
-	costW := func(id graph.LinkID) float64 { return 1 }
-	for k, c := range comms {
-		distTo, ok := distCache[c.Dst]
-		if !ok {
-			distTo = spf.DijkstraTo(g, c.Dst, opts.Alive, costW)
-			distCache[c.Dst] = distTo
+	// Liveness is fixed for the whole solve: one down-set, one kernel
+	// scratch and one cost row serve every shortest-path call.
+	csr := g.CSR()
+	down := spf.DownSet(nL, opts.Alive)
+	reach, dropped := screen(csr, comms, down)
+	groups := groupByDst(csr.N, comms, reach)
+	var sc spf.Scratch
+	cost := make([]float64, nL)
+
+	// The oracle paths of one pass live in a reused arena; commodity k's
+	// path is arena[pathLo[k]:pathHi[k]] when gotDir[k].
+	var arena []graph.LinkID
+	pathLo := make([]int, len(comms))
+	pathHi := make([]int, len(comms))
+	gotDir := make([]bool, len(comms))
+	// oracle routes every reachable commodity on a shortest path under
+	// cost, visiting destinations in first-seen commodity order (callers
+	// accumulate loads in this order, so it fixes their float
+	// association), and adds each path's demand to dst. Paths follow the
+	// SPF tree, so they are always simple.
+	oracle := func(dst []float64) {
+		arena = arena[:0]
+		for gi, node := range groups.dsts {
+			spf.SPFTo(csr, node, cost, down, &sc)
+			for _, k := range groups.members[gi] {
+				p := spf.PathFromNext(csr, comms[k].Src, sc.Next, arena[len(arena):])
+				gotDir[k] = p != nil
+				if p == nil {
+					continue
+				}
+				pathLo[k] = len(arena)
+				arena = append(arena, p...)
+				pathHi[k] = len(arena)
+				for _, id := range p {
+					dst[id] += comms[k].Demand
+				}
+			}
 		}
-		if math.IsInf(distTo[c.Src], 1) {
-			dropped++
-			continue
-		}
-		reach[k] = true
 	}
 
 	// Initialize: route every reachable commodity on an
 	// inverse-capacity-cost shortest path (a reasonable starting point
-	// that avoids tiny links).
+	// that avoids tiny links). rows[k] holds exactly the nonzero cells of
+	// commodity k's fractions, in no particular order; f.Frac is written
+	// from them when the solve ends.
 	loads := append([]float64(nil), bg...)
-	invCap := func(id graph.LinkID) float64 { return 1e9 / cap[id] }
-	assignShortest(g, f.Comms, reach, opts.Alive, invCap, func(k int, path []graph.LinkID) {
-		for _, id := range path {
-			f.Frac[k][id] = 1
-			loads[id] += comms[k].Demand
+	for e := range cost {
+		cost[e] = 1e9 / cap[e]
+	}
+	oracle(loads)
+	rows := make([][]cell, len(comms))
+	for k := range comms {
+		if !gotDir[k] {
+			continue
 		}
-	})
+		path := arena[pathLo[k]:pathHi[k]]
+		rows[k] = make([]cell, len(path), 2*len(path))
+		for j, id := range path {
+			rows[k][j] = cell{int32(id), 1}
+		}
+	}
+	scatter := func() {
+		for k, row := range rows {
+			for _, c := range row {
+				f.Frac[k][c.e] = c.v
+			}
+		}
+	}
 
 	mlu := util(loads, cap)
 	if allZeroDemand(comms) || mlu == 0 {
+		scatter()
 		return &Result{Flow: f, MLU: util(bg, cap), Dropped: dropped}
 	}
 
@@ -140,46 +186,28 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	// as the objective tightens. The exact line search works on the true
 	// MLU (convex piecewise-linear along the segment); a zero step is a
 	// stall, escaped by the μ schedule and bounded by a stall counter.
-	dirFrac := make([][]float64, len(comms)) // reused direction rows
-	gotDir := make([]bool, len(comms))
+	q := make([]float64, nL)
+	dirLoads := make([]float64, nL)
 	stalls := 0
 	for it := 0; it < opts.Iterations; it++ {
 		mu := math.Max(mlu/500, mlu*0.05*math.Pow(0.97, float64(it)))
-		q := softmax(loads, cap, mu)
+		softmax(q, loads, cap, mu)
 
 		// Linear minimization oracle: shortest paths under cost q_e/c_e.
-		cost := func(id graph.LinkID) float64 {
-			return q[id]/cap[id] + 1e-15
+		for e := range cost {
+			cost[e] = q[e]/cap[e] + 1e-15
 		}
-		dirLoads := append([]float64(nil), bg...)
-		for k := range dirFrac {
-			gotDir[k] = false
-			if dirFrac[k] == nil {
-				dirFrac[k] = make([]float64, nL)
-			} else {
-				for e := range dirFrac[k] {
-					dirFrac[k][e] = 0
-				}
-			}
-		}
-		assignShortest(g, f.Comms, reach, opts.Alive, cost, func(k int, path []graph.LinkID) {
-			gotDir[k] = true
-			for _, id := range path {
-				dirFrac[k][id] = 1
-				dirLoads[id] += comms[k].Demand
-			}
-		})
-		// A commodity without a fresh direction keeps its current routing.
+		copy(dirLoads, bg)
+		oracle(dirLoads)
+		// A commodity without a fresh direction keeps its current routing
+		// (its direction row is its own row).
 		for k := range comms {
 			if !reach[k] || gotDir[k] {
 				continue
 			}
-			copy(dirFrac[k], f.Frac[k])
 			d := comms[k].Demand
-			for e, v := range f.Frac[k] {
-				if v != 0 {
-					dirLoads[e] += d * v
-				}
+			for _, c := range rows[k] {
+				dirLoads[c.e] += d * c.v
 			}
 		}
 
@@ -205,14 +233,16 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 			if !reach[k] {
 				continue
 			}
-			fk, dk := f.Frac[k], dirFrac[k]
-			for e := 0; e < nL; e++ {
-				fk[e] = (1-gamma)*fk[e] + gamma*dk[e]
+			var path []graph.LinkID
+			if gotDir[k] {
+				path = arena[pathLo[k]:pathHi[k]]
 			}
+			rows[k] = stepRow(rows[k], gamma, path)
 		}
 		mlu = util(loads, cap)
 	}
 
+	scatter()
 	f.RemoveLoops()
 	// Recompute exactly from the final fractions.
 	final := append([]float64(nil), bg...)
@@ -220,34 +250,100 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	return &Result{Flow: f, MLU: util(final, cap), Dropped: dropped}
 }
 
-// assignShortest invokes emit(k, path) with one shortest path per
-// reachable commodity under the given cost, sharing one reverse Dijkstra
-// per destination. Paths follow the Dijkstra tree, so they are always
-// simple.
-func assignShortest(g *graph.Graph, comms []routing.Commodity, reach []bool, alive func(graph.LinkID) bool, cost spf.Cost, emit func(int, []graph.LinkID)) {
-	// Destinations are visited in first-seen commodity order, NOT map
-	// iteration order: callers accumulate floating-point loads in emit
-	// order, so a randomized order would make MinMLU's result vary run to
-	// run (and break the solver's bit-reproducibility guarantee).
-	groups := map[graph.NodeID][]int{}
-	var order []graph.NodeID
-	for k := range comms {
-		if reach[k] {
-			dst := comms[k].Dst
-			if groups[dst] == nil {
-				order = append(order, dst)
-			}
-			groups[dst] = append(groups[dst], k)
+// cell is one nonzero of a commodity's fraction row: link e carries the
+// fraction v.
+type cell struct {
+	e int32
+	v float64
+}
+
+// stepRow applies fk ← (1-γ)fk + γ·dk to one commodity row, given as
+// its nonzero cells, and returns the new cells. With a fresh oracle path
+// dk is the path's indicator: every cell is scaled, then γ is added along
+// the path — the path is simple, so each cell receives (1-γ)fk + γ in the
+// same two roundings as the dense form, and γ·0 = +0 leaves scaled cells
+// unchanged. A nil path means the commodity got none, and dk is fk
+// itself. Cells that become zero are dropped, so the row stays exactly
+// its nonzero cells and every other cell stays +0, as the dense update
+// would leave it.
+func stepRow(row []cell, gamma float64, path []graph.LinkID) []cell {
+	fresh := path != nil
+	n := 0
+	for _, c := range row {
+		v := (1 - gamma) * c.v
+		if !fresh {
+			v += gamma * c.v
+		}
+		if v != 0 {
+			row[n] = cell{c.e, v}
+			n++
 		}
 	}
-	for _, dst := range order {
-		_, next := spf.DijkstraToWithNext(g, dst, alive, cost)
-		for _, k := range groups[dst] {
-			if path := spf.PathVia(g, comms[k].Src, next); path != nil {
-				emit(k, path)
+	row = row[:n]
+	if !fresh {
+		return row
+	}
+	for _, id := range path {
+		j := 0
+		for j < len(row) && row[j].e != int32(id) {
+			j++
+		}
+		if j == len(row) {
+			row = append(row, cell{e: int32(id)})
+		}
+		row[j].v += gamma
+	}
+	return row
+}
+
+// screen is the solvers' reachability screen: reach[k] reports whether
+// commodity k's source reaches its destination over links outside down,
+// from one reverse SPF per distinct destination; dropped counts the
+// others.
+func screen(csr *graph.CSR, comms []routing.Commodity, down *graph.LinkSet) (reach []bool, dropped int) {
+	cost := make([]float64, csr.NumLinks())
+	for e := range cost {
+		cost[e] = 1
+	}
+	var sc spf.Scratch
+	reach = make([]bool, len(comms))
+	groups := groupByDst(csr.N, comms, nil)
+	for gi, node := range groups.dsts {
+		spf.SPFTo(csr, node, cost, down, &sc)
+		for _, k := range groups.members[gi] {
+			if reach[k] = !math.IsInf(sc.Dist[comms[k].Src], 1); !reach[k] {
+				dropped++
 			}
 		}
 	}
+	return reach, dropped
+}
+
+// dstGroups lists distinct destinations in first-seen commodity order,
+// each with its commodities in ascending index order.
+type dstGroups struct {
+	dsts    []graph.NodeID
+	members [][]int
+}
+
+// groupByDst groups the commodities with keep[k] set (every commodity
+// when keep is nil) by destination; nN is the node count.
+func groupByDst(nN int, comms []routing.Commodity, keep []bool) dstGroups {
+	var gr dstGroups
+	slot := make([]int, nN)
+	for k, c := range comms {
+		if keep != nil && !keep[k] {
+			continue
+		}
+		if slot[c.Dst] == 0 {
+			gr.dsts = append(gr.dsts, c.Dst)
+			gr.members = append(gr.members, nil)
+			slot[c.Dst] = len(gr.dsts)
+		}
+		gi := slot[c.Dst] - 1
+		gr.members[gi] = append(gr.members[gi], k)
+	}
+	return gr
 }
 
 func util(loads, cap []float64) float64 {
@@ -260,9 +356,9 @@ func util(loads, cap []float64) float64 {
 	return max
 }
 
-// softmax returns the gradient weights q_e ∝ exp(util_e/μ), summing to 1.
-func softmax(loads, cap []float64, mu float64) []float64 {
-	q := make([]float64, len(loads))
+// softmax fills q with the gradient weights q_e ∝ exp(util_e/μ), summing
+// to 1.
+func softmax(q, loads, cap []float64, mu float64) {
 	maxU := util(loads, cap)
 	var sum float64
 	for e := range q {
@@ -272,7 +368,6 @@ func softmax(loads, cap []float64, mu float64) []float64 {
 	for e := range q {
 		q[e] /= sum
 	}
-	return q
 }
 
 func innerUtil(q, loads, cap []float64) float64 {
@@ -346,16 +441,7 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 	}
 
 	f := routing.NewFlow(g, comms)
-	reach := make([]bool, len(comms))
-	dropped := 0
-	for k, c := range comms {
-		distTo := spf.DijkstraTo(g, c.Dst, opts.Alive, func(graph.LinkID) float64 { return 1 })
-		if math.IsInf(distTo[c.Src], 1) {
-			dropped++
-			continue
-		}
-		reach[k] = true
-	}
+	reach, dropped := screen(g.CSR(), comms, spf.DownSet(nL, opts.Alive))
 
 	p := lp.NewProblem()
 	p.Obs = opts.Obs

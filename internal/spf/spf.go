@@ -26,8 +26,15 @@ func flatten(g *graph.Graph, alive func(graph.LinkID) bool, cost Cost) ([]float6
 	for id := 0; id < nL; id++ {
 		costs[id] = cost(graph.LinkID(id))
 	}
+	return costs, DownSet(nL, alive)
+}
+
+// DownSet materializes an alive predicate over nL links as the kernel's
+// down-set: the links for which alive returns false, or nil when alive is
+// nil (every link alive).
+func DownSet(nL int, alive func(graph.LinkID) bool) *graph.LinkSet {
 	if alive == nil {
-		return costs, nil
+		return nil
 	}
 	var down graph.LinkSet
 	for id := 0; id < nL; id++ {
@@ -35,7 +42,7 @@ func flatten(g *graph.Graph, alive func(graph.LinkID) bool, cost Cost) ([]float6
 			down.Add(graph.LinkID(id))
 		}
 	}
-	return costs, &down
+	return &down
 }
 
 // WeightCost returns the IGP-weight cost function for g.
