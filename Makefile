@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-lp bench-fw bench-spf profile-fw fuzz-smoke chaos transition swap daemon degrade
+.PHONY: all build vet test race bench bench-lp bench-fw bench-spf profile-fw fuzz-smoke chaos transition swap daemon degrade
 
 all: build vet test
 
@@ -21,21 +21,15 @@ race: build vet
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-parallel compares serial vs 8-worker precomputation/evaluation
-# and writes BENCH_parallel.json (includes the CPU count: wall-clock
-# speedup is bounded by the cores available).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelSummary' -benchtime 1x .
-
 # bench-lp compares cold vs warm-started exact LP scenario solves and
 # writes BENCH_lp.json (pivot/refactorization/recovery counters).
 bench-lp:
 	$(GO) test -run '^$$' -bench 'BenchmarkLPColdVsWarm' -benchtime 1x .
 
 # bench-fw times the serial Frank–Wolfe solver on the generated topology
-# against the committed BENCH_parallel.json baseline and writes
-# BENCH_fw.json, then runs the hot-path micro benchmarks (SPF kernel,
-# worst-load selection, full precompute) with allocation accounting.
+# against the baseline carried in BENCH_fw.json and rewrites that file,
+# then runs the hot-path micro benchmarks (SPF kernel, worst-load
+# selection, full precompute) with allocation accounting.
 bench-fw:
 	$(GO) test -run '^$$' -bench 'BenchmarkFWSummary' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSPF$$|BenchmarkWorstLoad|BenchmarkPrecompute$$' -benchmem .

@@ -111,7 +111,17 @@ func main() {
 	fmt.Printf("r3d: revision %d ready in %v (MLU %.4f, normal %.4f, digest %016x)\n",
 		rev.ID, time.Since(start).Round(time.Millisecond), rev.Plan.MLU, rev.Plan.NormalMLU, rev.Digest)
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	// Bound how long a client may take to send its headers and how long
+	// an idle keep-alive connection is held. There is no whole-request
+	// read or write timeout: a generated1k traffic upload or plan
+	// download legitimately takes a while, and POST bodies are
+	// size-capped by the server itself.
+	httpSrv := &http.Server{
+		Addr:              *listen,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

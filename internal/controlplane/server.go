@@ -2,11 +2,14 @@ package controlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -200,8 +203,18 @@ func (s *Server) worker() {
 // build computes (or looks up) the plan for the inputs and publishes it
 // as a new revision with a staged rollout attached. It is called from
 // New (synchronously) and from the worker; inputs are immutable
-// snapshots.
-func (s *Server) build(g *graph.Graph, d *traffic.Matrix) error {
+// snapshots. A panic anywhere in the build — including one the solver's
+// worker pool re-raises — is recovered into an error (counted in
+// cp.rebuild_panics, stack logged), so the previous revision keeps
+// serving. A plan whose MLU is not finite never publishes.
+func (s *Server) build(g *graph.Graph, d *traffic.Matrix) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.reg.Counter("cp.rebuild_panics").Inc()
+			slog.Error("controlplane: rebuild panicked", "panic", r, "stack", string(debug.Stack()))
+			err = fmt.Errorf("controlplane: rebuild panicked: %v", r)
+		}
+	}()
 	if s.testBuildErr != nil {
 		if err := s.testBuildErr(); err != nil {
 			return err
@@ -225,6 +238,9 @@ func (s *Server) build(g *graph.Graph, d *traffic.Matrix) error {
 		plan, err = core.Precompute(g, d, pc)
 		if err != nil {
 			return err
+		}
+		if math.IsNaN(plan.MLU) || math.IsInf(plan.MLU, 0) {
+			return fmt.Errorf("controlplane: plan MLU %v is not finite", plan.MLU)
 		}
 		bytes, err = plan.EncodeBytes()
 		if err != nil {
@@ -346,6 +362,38 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// maxBodyBytes bounds every POST body. The largest input the repo
+// generates, the text gravity matrix of the 1000-node generated1k
+// topology, is about 60 MB.
+const maxBodyBytes = 128 << 20
+
+// limitBody caps r's body at maxBodyBytes. A body that declares a larger
+// Content-Length is answered with 413 at once, unread, and limitBody
+// reports false.
+func limitBody(w http.ResponseWriter, r *http.Request) bool {
+	if r.ContentLength > maxBodyBytes {
+		writeTooLarge(w)
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	return true
+}
+
+func writeTooLarge(w http.ResponseWriter) {
+	writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+}
+
+// writeBodyError answers a rejected body: 413 when reading it overran
+// maxBodyBytes, otherwise 400 with msg.
+func writeBodyError(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeTooLarge(w)
+		return
+	}
+	writeError(w, http.StatusBadRequest, msg)
 }
 
 // handlePlan serves the active revision's wire bytes verbatim (or a
@@ -596,9 +644,12 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	g := s.g
 	s.mu.Unlock()
+	if !limitBody(w, r) {
+		return
+	}
 	d, err := traffic.ParseMatrix(r.Body, g.NumNodes(), g.NodeByName)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, err, err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -615,9 +666,12 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if !s.admitUpdate(w) {
 		return
 	}
+	if !limitBody(w, r) {
+		return
+	}
 	g, err := topo.Parse(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, err, err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -649,8 +703,11 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Rev int64 `json:"rev"`
 		}
+		if !limitBody(w, r) {
+			return
+		}
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Rev == 0 {
-			writeError(w, http.StatusBadRequest, "rev parameter required")
+			writeBodyError(w, err, "rev parameter required")
 			return
 		}
 		q = strconv.FormatInt(body.Rev, 10)

@@ -52,10 +52,13 @@ type Config struct {
 	// solver's own tolerance).
 	PenaltyEnvelope float64
 	// Workers bounds the FW solver's parallelism (default GOMAXPROCS;
-	// 1 forces serial execution). The solver's parallel loops reduce in a
-	// fixed index order, so the produced plan is bit-identical for every
-	// worker count — Workers trades only wall-clock time. The LP solver
-	// ignores it.
+	// 1 forces serial execution). Three loops of each epoch run on the
+	// pool: the global step's line-search fill, the per-link protection
+	// SPF sweep and the base routing's per-destination (or per-commodity)
+	// SPF sweep; every other pass is serial. Each pool item writes only
+	// its own cells and every sum runs serially in index order, so the
+	// produced plan is bit-identical for every worker count — Workers
+	// trades only wall-clock time. The LP solver ignores it.
 	Workers int
 	// Obs, when non-nil, receives solver metrics and traces: per-epoch
 	// MLU/step-size spans under trace "fw", SPF and epoch counters, LP
@@ -550,7 +553,6 @@ type fwArena struct {
 	// Incremental-SPF scratch (unused under ModeFlat).
 	pPat     [][]int32        // pDirections: previous epoch's nonzero cells per protected link
 	pPatNew  [][]int32        // pDirections: current epoch's nonzero cells per protected link
-	patPairs [][]int32        // pDirections: per-chunk (l, e) first-contribution pairs
 	pIDs     [][]int32        // pDirections: per-link candidate link ids (old ∪ new pattern)
 	pVals    [][]float64      // pDirections: per-link candidate costs, aligned with pIDs
 	stampE   []int32          // p-sweep: generation-stamped active-cell marker per link
@@ -705,51 +707,26 @@ func (s *fwState) columns(P [][]float64, dst [][]float64) [][]float64 {
 			dst[e] = make([]float64, nL)
 		}
 	}
-	// Each worker owns a contiguous range of columns dst[e][·]; entries
-	// are pure assignments, so any split is bit-identical to serial. The
-	// inline variant performs the same assignments with plain loops.
-	if s.pool.Inline() {
-		for e := 0; e < nL; e++ {
-			col := dst[e]
-			for l := range col {
-				col[l] = 0
-			}
+	for e := 0; e < nL; e++ {
+		col := dst[e]
+		for l := range col {
+			col[l] = 0
 		}
-		for l := 0; l < nL; l++ {
-			cl := s.capac[l]
-			pl := P[l]
-			for e := 0; e < nL; e++ {
-				if v := pl[e]; v != 0 {
-					dst[e][l] = cl * v
-				}
-			}
-		}
-		return dst
 	}
-	s.pool.ForEachChunk(nL, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			col := dst[e]
-			for l := range col {
-				col[l] = 0
+	for l := 0; l < nL; l++ {
+		cl := s.capac[l]
+		pl := P[l]
+		for e := 0; e < nL; e++ {
+			if v := pl[e]; v != 0 {
+				dst[e][l] = cl * v
 			}
 		}
-		for l := 0; l < nL; l++ {
-			cl := s.capac[l]
-			pl := P[l]
-			for e := lo; e < hi; e++ {
-				if v := pl[e]; v != 0 {
-					dst[e][l] = cl * v
-				}
-			}
-		}
-	})
+	}
 	return dst
 }
 
 // objective evaluates the true (non-smoothed) objective of the current
-// iterate: max over requirements and links of utilization. Per-cell values
-// feed a max, which is order-insensitive, so the inline and chunk-reduced
-// evaluations agree bit for bit.
+// iterate: max over requirements and links of utilization.
 func (s *fwState) objective() float64 {
 	nL := s.g.NumLinks()
 	if s.ar.objLoads == nil {
@@ -758,38 +735,17 @@ func (s *fwState) objective() float64 {
 	loads := s.baseLoads(s.R, s.ar.objLoads)
 	s.pcol = s.columns(s.P, s.pcol)
 	worst := 0.0
-	if s.pool.Inline() {
-		for i := range s.reqs {
-			li := loads[i]
-			model := s.reqs[i].model
-			for e := 0; e < nL; e++ {
-				if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > worst {
-					worst = u
-				}
-			}
-		}
-		return worst
-	}
 	for i := range s.reqs {
 		li := loads[i]
 		model := s.reqs[i].model
-		wi := par.Reduce(s.pool, nL, 0.0, func(lo, hi int) float64 {
-			w := 0.0
-			for e := lo; e < hi; e++ {
-				if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > w {
-					w = u
-				}
+		for e := 0; e < nL; e++ {
+			if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > worst {
+				worst = u
 			}
-			return w
-		}, math.Max)
-		if wi > worst {
-			worst = wi
 		}
 	}
 	return worst
 }
-
-// run executes the Frank–Wolfe loop.
 
 // run executes the offline optimization as a hybrid of global Frank–Wolfe
 // steps and block-coordinate refinement. Each epoch: (1) compute softmax
@@ -876,55 +832,31 @@ func (s *fwState) run(effort int) {
 		if s.topK == 0 {
 			return
 		}
-		if s.pool.Inline() {
-			for e := 0; e < nL; e++ {
-				s.tops[e].rebuild(s.pcol[e], s.topK)
-			}
-			return
+		for e := 0; e < nL; e++ {
+			s.tops[e].rebuild(s.pcol[e], s.topK)
 		}
-		s.pool.ForEachChunk(nL, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				s.tops[e].rebuild(s.pcol[e], s.topK)
-			}
-		})
 	}
 
 	loads := s.baseLoads(s.R, s.ar.loads)
 	s.pcol = s.columns(s.P, s.pcol)
-	W := make([][]float64, nI)
-	for i := range W {
-		W[i] = make([]float64, nL)
-	}
-	nC := par.NumChunks(nL)
-	fillW := func(i, lo, hi int) {
-		Wi := W[i]
-		// The maintained top buffers answer sumTopK bit for bit as long as
-		// F stays below the column length (the reference switches to
-		// index-order summation at F >= len).
-		if s.topK > 0 && arbF[i] < nL {
-			F := arbF[i]
-			for e := lo; e < hi; e++ {
-				Wi[e] = s.tops[e].worstArb(F)
-			}
-			return
-		}
-		model := s.reqs[i].model
-		for e := lo; e < hi; e++ {
-			Wi[e] = model.WorstLoad(s.pcol[e])
-		}
-	}
+	W := newMatrix(nI, nL)
 	recomputeW := func() {
-		if s.pool.Inline() {
-			for i := 0; i < nI; i++ {
-				fillW(i, 0, nL)
+		for i := 0; i < nI; i++ {
+			Wi := W[i]
+			// The maintained top buffers answer sumTopK bit for bit as long
+			// as F stays below the column length (the reference switches to
+			// index-order summation at F >= len).
+			if F := arbF[i]; s.topK > 0 && F < nL {
+				for e := 0; e < nL; e++ {
+					Wi[e] = s.tops[e].worstArb(F)
+				}
+				continue
 			}
-			return
+			model := s.reqs[i].model
+			for e := 0; e < nL; e++ {
+				Wi[e] = model.WorstLoad(s.pcol[e])
+			}
 		}
-		s.pool.ForEach(nI*nC, func(t int) {
-			i := t / nC
-			lo, hi := par.Chunk(nL, t%nC)
-			fillW(i, lo, hi)
-		})
 	}
 	rebuildTops()
 	recomputeW()
@@ -933,18 +865,10 @@ func (s *fwState) run(effort int) {
 	trueObj := func() float64 {
 		worst := 0.0
 		for i := 0; i < nI; i++ {
-			i := i
-			wi := par.Reduce(s.pool, nL, 0.0, func(lo, hi int) float64 {
-				w := 0.0
-				for e := lo; e < hi; e++ {
-					if u := rowU(i, e); u > w {
-						w = u
-					}
+			for e := 0; e < nL; e++ {
+				if u := rowU(i, e); u > worst {
+					worst = u
 				}
-				return w
-			}, math.Max)
-			if wi > worst {
-				worst = wi
 			}
 		}
 		return worst
@@ -984,25 +908,14 @@ func (s *fwState) run(effort int) {
 		epochSp := runSp.Child("epoch")
 
 		// ---- Softmax gradient weights ----
-		// The exp fill is slot-parallel; the normalizing sum stays serial
-		// in (i, e) order so its float association never changes.
+		// The normalizing sum runs in (i, e) order so its float
+		// association never changes.
 		q := s.ar.q
-		if s.pool.Inline() {
-			for i := 0; i < nI; i++ {
-				qi := q[i]
-				for e := 0; e < nL; e++ {
-					qi[e] = math.Exp((rowU(i, e) - obj) / mu)
-				}
+		for i := 0; i < nI; i++ {
+			qi := q[i]
+			for e := 0; e < nL; e++ {
+				qi[e] = math.Exp((rowU(i, e) - obj) / mu)
 			}
-		} else {
-			s.pool.ForEach(nI*nC, func(t int) {
-				i := t / nC
-				lo, hi := par.Chunk(nL, t%nC)
-				qi := q[i]
-				for e := lo; e < hi; e++ {
-					qi[e] = math.Exp((rowU(i, e) - obj) / mu)
-				}
-			})
 		}
 		var zsum float64
 		for i := 0; i < nI; i++ {
@@ -1059,42 +972,15 @@ func (s *fwState) run(effort int) {
 			expu := s.ar.expu
 			diff := s.ar.diff
 			act := s.ar.active
-			fillU0 := func(i, lo, hi int) {
+			for i := 0; i < nI; i++ {
 				li, Wi, u0i := loads[i], W[i], u0[i]
-				for e := lo; e < hi; e++ {
+				for e := 0; e < nL; e++ {
 					u0i[e] = (li[e] + Wi[e]) / s.capac[e]
 				}
 			}
-			if s.pool.Inline() {
-				for i := 0; i < nI; i++ {
-					fillU0(i, 0, nL)
-				}
-			} else {
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					fillU0(i, lo, hi)
-				})
-			}
 			cachedWorst := math.NaN()
 			refill := func(worst float64) {
-				fill := func(i, lo, hi int) {
-					u0i, ei := u0[i], expu[i]
-					for e := lo; e < hi; e++ {
-						ei[e] = math.Exp((u0i[e] - worst) / mu)
-					}
-				}
-				if s.pool.Inline() {
-					for i := 0; i < nI; i++ {
-						fill(i, 0, nL)
-					}
-				} else {
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						fill(i, lo, hi)
-					})
-				}
+				fillExp(expu, u0, worst, mu)
 				cachedWorst = worst
 			}
 			for k := range s.comms {
@@ -1254,43 +1140,16 @@ func (s *fwState) run(effort int) {
 			act := s.ar.active
 			prevAct := s.ar.active2
 			nPrev := 0
-			fillU0P := func(i, lo, hi int) {
+			for i := 0; i < nI; i++ {
 				li, u0i := loads[i], u0[i]
 				F := arbF[i]
-				for e := lo; e < hi; e++ {
+				for e := 0; e < nL; e++ {
 					u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
 				}
 			}
-			if s.pool.Inline() {
-				for i := 0; i < nI; i++ {
-					fillU0P(i, 0, nL)
-				}
-			} else {
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					fillU0P(i, lo, hi)
-				})
-			}
 			cachedWorst := math.NaN()
 			refill := func(worst float64) {
-				fill := func(i, lo, hi int) {
-					u0i, ei := u0[i], expu[i]
-					for e := lo; e < hi; e++ {
-						ei[e] = math.Exp((u0i[e] - worst) / mu)
-					}
-				}
-				if s.pool.Inline() {
-					for i := 0; i < nI; i++ {
-						fill(i, 0, nL)
-					}
-				} else {
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						fill(i, lo, hi)
-					})
-				}
+				fillExp(expu, u0, worst, mu)
 				cachedWorst = worst
 			}
 			for l := 0; l < nL; l++ {
@@ -1472,23 +1331,12 @@ func (s *fwState) run(effort int) {
 				// both in O(F) per cell instead of rescanning the column,
 				// bit-identical to insertionStats (same selection order,
 				// same summation order).
-				fillStats := func(i, lo, hi int) {
+				for i := 0; i < nI; i++ {
 					F := arbF[i]
 					sfi, afi := sFm1[i], aF[i]
-					for e := lo; e < hi; e++ {
+					for e := 0; e < nL; e++ {
 						sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
 					}
-				}
-				if s.pool.Inline() {
-					for i := 0; i < nI; i++ {
-						fillStats(i, 0, nL)
-					}
-				} else {
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						fillStats(i, lo, hi)
-					})
 				}
 				evalW = func(i, e int, x float64) float64 {
 					if x > aF[i][e] {
@@ -1500,12 +1348,10 @@ func (s *fwState) run(effort int) {
 				// With K=1, the worst case is one SRLG plus one MLG: the
 				// best group either avoids l entirely (sum precomputed) or
 				// contains l and gains x.
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					groupStats(grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i], lo, hi)
-					groupStats(grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i], lo, hi)
-				})
+				for i := 0; i < nI; i++ {
+					groupStats(grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i])
+					groupStats(grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i])
+				}
 				evalW = func(i, e int, x float64) float64 {
 					srlg := sS[i][e]
 					if v := mSl[i][e] + x; v > srlg {
@@ -1567,16 +1413,13 @@ func (s *fwState) run(effort int) {
 			}
 			// Refresh W from the accepted step. The fast-path evalW
 			// closures only read precomputed stats; the generic fallback
-			// evaluates WorstLoad on the updated column directly. Both are
-			// pure per-cell reads, so the refresh is slot-parallel.
+			// evaluates WorstLoad on the updated column directly.
 			if allArb || allGrp1 {
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					for e := lo; e < hi; e++ {
+				for i := 0; i < nI; i++ {
+					for e := 0; e < nL; e++ {
 						W[i][e] = evalW(i, e, s.pcol[e][l])
 					}
-				})
+				}
 			} else {
 				recomputeW()
 			}
@@ -1597,6 +1440,10 @@ func (s *fwState) run(effort int) {
 	}
 	s.restoreBest()
 }
+
+// globalStepSearchIters is the number of ternary-search rounds in the
+// global step's line search; each round evaluates two step sizes.
+const globalStepSearchIters = 14
 
 // globalStep moves every commodity toward its oracle path simultaneously
 // with one shared line-searched step on the smoothed objective. It mutates
@@ -1628,11 +1475,10 @@ func (s *fwState) globalStep(loads [][]float64, rPaths, pPaths [][]graph.LinkID,
 	}
 	// Direction columns for p.
 	dirP := s.ar.dirP
-	fillDirP := func(l int) {
-		row := dirP[l]
+	for l, row := range dirP {
 		if pPaths[l] == nil {
 			copy(row, s.P[l])
-			return
+			continue
 		}
 		for e := range row {
 			row[e] = 0
@@ -1641,47 +1487,25 @@ func (s *fwState) globalStep(loads [][]float64, rPaths, pPaths [][]graph.LinkID,
 			row[id] = 1
 		}
 	}
-	if s.pool.Inline() {
-		for l := 0; l < nL; l++ {
-			fillDirP(l)
-		}
-	} else {
-		s.pool.ForEach(nL, fillDirP)
-	}
 	dirLoads := s.baseLoads(dirR, s.ar.dirLoads)
 	pcolDir := s.columns(dirP, s.ar.pcolDir)
 
 	// Each utilization cell mixes a full p-column (O(links) WorstLoad), so
-	// the fill dominates the line search; it is slot-parallel with a
-	// per-worker mixing buffer. The max and the exp sum stay serial over
-	// the slot order, keeping the float association fixed.
+	// the fill dominates the line search: it is the one parallel loop of
+	// the step, one pool item per cell with a per-worker mixing buffer.
+	// The max and the exp sum stay serial over the cell order, keeping the
+	// float association fixed.
 	us := s.ar.us
 	eval := func(gamma float64) float64 {
-		if s.pool.Inline() {
-			col := s.getBuf()
-			for t := 0; t < nI*nL; t++ {
-				i, e := t/nL, t%nL
-				a, b := s.pcol[e], pcolDir[e]
-				for l := 0; l < nL; l++ {
-					col[l] = (1-gamma)*a[l] + gamma*b[l]
-				}
-				bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
-				us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
+		par.ForEachScratchFree(s.pool, nI*nL, s.getBuf, func(t int, col []float64) {
+			i, e := t/nL, t%nL
+			a, b := s.pcol[e], pcolDir[e]
+			for l := 0; l < nL; l++ {
+				col[l] = (1-gamma)*a[l] + gamma*b[l]
 			}
-			s.putBuf(col)
-		} else {
-			par.ForEachChunkScratchFree(s.pool, nI*nL, s.getBuf, func(lo, hi int, col []float64) {
-				for t := lo; t < hi; t++ {
-					i, e := t/nL, t%nL
-					a, b := s.pcol[e], pcolDir[e]
-					for l := 0; l < nL; l++ {
-						col[l] = (1-gamma)*a[l] + gamma*b[l]
-					}
-					bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
-					us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
-				}
-			}, s.putBuf)
-		}
+			bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
+			us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
+		}, s.putBuf)
 		worst := 0.0
 		for _, u := range us {
 			if u > worst {
@@ -1694,7 +1518,7 @@ func (s *fwState) globalStep(loads [][]float64, rPaths, pPaths [][]graph.LinkID,
 		}
 		return worst + mu*math.Log(z)
 	}
-	gamma := ternaryMin(eval, 14)
+	gamma := ternaryMin(eval, globalStepSearchIters)
 	if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
 		return 0
 	}
@@ -1705,24 +1529,24 @@ func (s *fwState) globalStep(loads [][]float64, rPaths, pPaths [][]graph.LinkID,
 			rk[e] = (1-gamma)*rk[e] + gamma*dk[e]
 		}
 	}
-	s.pool.ForEach(nL, func(l int) {
-		pl, dl := s.P[l], dirP[l]
+	for l, pl := range s.P {
+		dl := dirP[l]
 		for e := 0; e < nL; e++ {
 			pl[e] = (1-gamma)*pl[e] + gamma*dl[e]
 		}
-	})
+	}
 	s.pcol = s.columns(s.P, s.pcol)
 	return gamma
 }
 
 // pDirections computes the oracle path per protected link from the active
 // sets of the current iterate: a link e costs q weight only where l's
-// virtual demand is part of the worst case at e. Cost accumulation is
-// split by link column e — every cell costP[·][e] belongs to one worker
-// and sums requirements in ascending order — and the per-link SPF fan-out
-// is slot-parallel, with an ActiveSet scratch per worker. All buffers come
-// from the arena: costP rows are zeroed up front, the kernel scratch and
-// y rows recycle through pools, and paths append into retained storage.
+// virtual demand is part of the worst case at e. Costs accumulate
+// serially, column by column, summing requirements in ascending order;
+// the per-link SPF fan-out is the parallel loop, one pool item per
+// protected link. All buffers come from the arena: costP rows are zeroed
+// up front, the kernel scratch and y rows recycle through pools, and
+// paths append into retained storage.
 //
 // Under an incremental SPF mode the per-link trees persist across epochs:
 // the gradient rows are sparse over a constant 1e-12 floor (a cell is
@@ -1739,54 +1563,41 @@ func (s *fwState) pDirections(q [][]float64) [][]graph.LinkID {
 	incremental := s.spfMode != spf.ModeFlat
 	paths := s.ar.pPaths
 
-	zeroRows := func(lo, hi int) {
-		for l := lo; l < hi; l++ {
-			if incremental {
-				// Only pattern cells are ever nonzero; clear just those.
-				row := costP[l]
-				for _, e := range s.ar.pPat[l] {
-					row[e] = 0
-				}
-				s.ar.pPatNew[l] = s.ar.pPatNew[l][:0]
-				continue
-			}
-			row := costP[l]
-			for e := range row {
+	for l, row := range costP {
+		if incremental {
+			// Only pattern cells are ever nonzero; clear just those.
+			for _, e := range s.ar.pPat[l] {
 				row[e] = 0
 			}
+			s.ar.pPatNew[l] = s.ar.pPatNew[l][:0]
+			continue
+		}
+		for e := range row {
+			row[e] = 0
 		}
 	}
-	// accumulate fills chunk c (columns [lo, hi)). In incremental mode the
-	// first contribution to a cell records the (l, e) pair in the chunk's
-	// pair buffer; chunks partition e, so each cell has exactly one owner
-	// and the per-chunk buffers concatenate to the full pattern in
-	// ascending-e order.
-	accumulate := func(c, lo, hi int, y []float64) {
-		var pairs []int32
-		if incremental {
-			pairs = s.ar.patPairs[c][:0]
-		}
-		for e := lo; e < hi; e++ {
-			for i := 0; i < nI; i++ {
-				if q[i][e] == 0 {
-					continue
-				}
-				s.reqs[i].model.ActiveSet(s.pcol[e], y)
-				w := q[i][e] / s.capac[e]
-				for l := 0; l < nL; l++ {
-					if y[l] > 0 {
-						if incremental && costP[l][e] == 0 {
-							pairs = append(pairs, int32(l), int32(e))
-						}
-						costP[l][e] += w * y[l]
+	// In incremental mode the first contribution to a cell appends e to
+	// pPatNew[l]; columns run in ascending e, so every pattern comes out
+	// e-sorted.
+	y := s.getBuf()
+	for e := 0; e < nL; e++ {
+		for i := 0; i < nI; i++ {
+			if q[i][e] == 0 {
+				continue
+			}
+			s.reqs[i].model.ActiveSet(s.pcol[e], y)
+			w := q[i][e] / s.capac[e]
+			for l := 0; l < nL; l++ {
+				if y[l] > 0 {
+					if incremental && costP[l][e] == 0 {
+						s.ar.pPatNew[l] = append(s.ar.pPatNew[l], int32(e))
 					}
+					costP[l][e] += w * y[l]
 				}
 			}
 		}
-		if incremental {
-			s.ar.patPairs[c] = pairs
-		}
 	}
+	s.putBuf(y)
 	sweep := func(l int) {
 		link := s.g.Link(graph.LinkID(l))
 		row := costP[l]
@@ -1855,52 +1666,9 @@ func (s *fwState) pDirections(q [][]float64) [][]graph.LinkID {
 		}
 		paths[l] = p
 	}
-	if s.pool.Inline() {
-		zeroRows(0, nL)
-		if s.ar.patPairs == nil {
-			s.ar.patPairs = make([][]int32, 1)
-		}
-		y := s.getBuf()
-		accumulate(0, 0, nL, y)
-		s.putBuf(y)
-		s.mergePatterns(1)
-		for l := 0; l < nL; l++ {
-			sweep(l)
-		}
-		s.swapPatterns()
-		return paths
-	}
-	s.pool.ForEachChunk(nL, zeroRows)
-	nC := par.NumChunks(nL)
-	if s.ar.patPairs == nil || len(s.ar.patPairs) < nC {
-		s.ar.patPairs = make([][]int32, nC)
-	}
-	s.pool.ForEach(nC, func(c int) {
-		lo, hi := par.Chunk(nL, c)
-		y := s.getBuf()
-		accumulate(c, lo, hi, y)
-		s.putBuf(y)
-	})
-	s.mergePatterns(nC)
 	s.pool.ForEach(nL, sweep)
 	s.swapPatterns()
 	return paths
-}
-
-// mergePatterns scatters the per-chunk (l, e) pair buffers into per-link
-// pattern lists. Chunks are walked in ascending order and each buffer is
-// internally e-sorted, so every pPatNew[l] comes out e-sorted.
-func (s *fwState) mergePatterns(nC int) {
-	if s.spfMode == spf.ModeFlat {
-		return
-	}
-	for c := 0; c < nC; c++ {
-		pairs := s.ar.patPairs[c]
-		for j := 0; j+1 < len(pairs); j += 2 {
-			l, e := pairs[j], pairs[j+1]
-			s.ar.pPatNew[l] = append(s.ar.pPatNew[l], e)
-		}
-	}
 }
 
 // swapPatterns promotes this epoch's nonzero patterns to "previous" for
@@ -1925,6 +1693,18 @@ func ternaryMin(f func(float64) float64, iters int) float64 {
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// fillExp sets every cell of expu to exp((u0 - worst) / mu), the exp
+// cache of the r and p sweeps' static utilizations at reference point
+// worst.
+func fillExp(expu, u0 [][]float64, worst, mu float64) {
+	for i, u0i := range u0 {
+		ei := expu[i]
+		for e, u := range u0i {
+			ei[e] = math.Exp((u - worst) / mu)
+		}
+	}
 }
 
 // rDirections computes the oracle path per OD commodity under the current
@@ -1977,13 +1757,7 @@ func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
 			}
 			s.spfPool.Put(sc)
 		}
-		if s.pool.Inline() {
-			for di := range s.ar.dsts {
-				sweep(di)
-			}
-		} else {
-			s.pool.ForEach(len(s.ar.dsts), sweep)
-		}
+		s.pool.ForEach(len(s.ar.dsts), sweep)
 		return paths
 	}
 	// Demand-weighted per-commodity costs: one SPF per commodity, with a
@@ -2008,14 +1782,6 @@ func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
 		paths[k] = s.checkedPath(k, p, cost)
 		s.growSupport(k, paths[k])
 		s.spfPool.Put(sc)
-	}
-	if s.pool.Inline() {
-		cost := s.getBuf()
-		for k := range s.comms {
-			sweep(k, cost)
-		}
-		s.putBuf(cost)
-		return paths
 	}
 	par.ForEachScratchFree(s.pool, len(s.comms), s.getBuf, sweep, s.putBuf)
 	return paths
@@ -2166,15 +1932,14 @@ func (s *fwState) delayBoundedPath(k int, cost []float64, bound float64) []graph
 	return out
 }
 
-// groupStats fills, for every link e in [lo, hi), best[e] = the largest
-// positive group sum over columns pcol[e] treating index skip as absent
-// among groups NOT containing skip (0 when none), and withSkip[e] = the
-// largest sum among groups containing skip with skip's own entry removed
-// (negative infinity when no group contains skip). Each cell depends only
-// on its own column, so disjoint ranges can be filled concurrently.
-func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, best, withSkip []float64, lo, hi int) {
+// groupStats fills, for every column e of pcol, best[e] = the largest
+// positive group sum over pcol[e] treating index skip as absent among
+// groups NOT containing skip (0 when none), and withSkip[e] = the largest
+// sum among groups containing skip with skip's own entry removed
+// (negative infinity when no group contains skip).
+func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, best, withSkip []float64) {
 	negInf := math.Inf(-1)
-	for e := lo; e < hi; e++ {
+	for e := range pcol {
 		best[e] = 0
 		withSkip[e] = negInf
 	}
@@ -2186,8 +1951,7 @@ func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, be
 				break
 			}
 		}
-		for e := lo; e < hi; e++ {
-			col := pcol[e]
+		for e, col := range pcol {
 			var sum float64
 			for _, l := range grp {
 				if l == skip || int(l) >= len(col) {

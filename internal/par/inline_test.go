@@ -15,32 +15,9 @@ func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-func TestInlineDetection(t *testing.T) {
-	if !Serial.Inline() {
-		t.Fatal("Serial pool must report inline execution")
-	}
-	if !New(1).Inline() {
-		t.Fatal("1-worker pool must report inline execution")
-	}
-	var nilPool *Pool
-	if !nilPool.Inline() {
-		t.Fatal("nil pool must report inline execution")
-	}
-	withGOMAXPROCS(t, 1, func() {
-		if !New(8).Inline() {
-			t.Fatal("8-worker pool must degrade to inline on a single-slot runtime")
-		}
-	})
-	withGOMAXPROCS(t, 4, func() {
-		if New(8).Inline() {
-			t.Fatal("8-worker pool must not report inline with 4 scheduler slots")
-		}
-	})
-}
-
 // TestInlineSpawnsNoWorkers: on a single-slot runtime even a wide pool
-// must run every construct on the calling goroutine — the spawned-worker
-// counter stays flat across ForEach, chunked loops and Reduce.
+// must run every index-addressed loop on the calling goroutine — the
+// spawned-worker counter stays flat across ForEach and the scratch loops.
 func TestInlineSpawnsNoWorkers(t *testing.T) {
 	withGOMAXPROCS(t, 1, func() {
 		p := New(8)
@@ -49,24 +26,13 @@ func TestInlineSpawnsNoWorkers(t *testing.T) {
 		const n = 1000
 		out := make([]float64, n)
 		p.ForEach(n, func(i int) { out[i] = float64(i) * 1.5 })
-		p.ForEachChunk(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] += 1
-			}
-		})
+		ForEachScratch(p, n,
+			func() []float64 { return make([]float64, 1) },
+			func(i int, s []float64) { s[0] = out[i]; out[i] = s[0] + 1 })
 		ForEachScratchFree(p, n,
 			func() []float64 { return make([]float64, 4) },
 			func(i int, s []float64) { s[0] = out[i] },
 			func(s []float64) {})
-		_ = Reduce(p, n, 0.0,
-			func(lo, hi int) float64 {
-				sum := 0.0
-				for i := lo; i < hi; i++ {
-					sum += out[i]
-				}
-				return sum
-			},
-			func(a, b float64) float64 { return a + b })
 
 		if d := p.SpawnedWorkers() - before; d != 0 {
 			t.Fatalf("inline execution spawned %d workers, want 0", d)
@@ -74,10 +40,10 @@ func TestInlineSpawnsNoWorkers(t *testing.T) {
 	})
 }
 
-// TestInlinePooledIdentical: the same loop on a serial pool and a wide
-// pool clamped to one slot must produce bit-identical results — including
-// the floating-point fold order of Reduce, which is where a sloppy inline
-// fast path would diverge first.
+// TestInlinePooledIdentical: the same loops on a serial pool, a wide pool
+// clamped to one slot and a genuinely concurrent pool must write
+// bit-identical slots, and a serial index-order fold over those slots
+// must agree bit for bit — the pattern the Frank–Wolfe line search uses.
 func TestInlinePooledIdentical(t *testing.T) {
 	const n = 12345
 	vals := make([]float64, n)
@@ -86,30 +52,50 @@ func TestInlinePooledIdentical(t *testing.T) {
 		// observable in the low bits.
 		vals[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%17)-8)
 	}
-	sumChunk := func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += vals[i]
+	// run fills one slot per index with a per-worker mixing buffer and
+	// folds the slots serially in index order.
+	run := func(p *Pool) ([]float64, float64) {
+		out := make([]float64, n)
+		ForEachScratchFree(p, n,
+			func() []float64 { return make([]float64, 3) },
+			func(i int, buf []float64) {
+				buf[0], buf[1], buf[2] = vals[i], vals[(i+1)%n], vals[(i+2)%n]
+				out[i] = buf[0]*3 + buf[1] - buf[2]
+			},
+			func([]float64) {})
+		sum := 0.0
+		for _, v := range out {
+			sum += v
 		}
-		return s
+		return out, sum
 	}
-	add := func(a, b float64) float64 { return a + b }
-
-	serial := Reduce(Serial, n, 0.0, sumChunk, add)
-	withGOMAXPROCS(t, 1, func() {
-		if got := Reduce(New(8), n, 0.0, sumChunk, add); got != serial {
-			t.Fatalf("inline wide-pool Reduce = %x, serial = %x", got, serial)
+	check := func(label string, got []float64, gotSum float64, want []float64, wantSum float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: slot %d = %x, serial = %x", label, i, got[i], want[i])
+			}
 		}
+		if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
+			t.Fatalf("%s: fold = %x, serial = %x", label, gotSum, wantSum)
+		}
+	}
+
+	want, wantSum := run(Serial)
+	withGOMAXPROCS(t, 1, func() {
+		got, sum := run(New(8))
+		check("inline wide pool", got, sum, want, wantSum)
 	})
-	// And with scheduling slots available, the pooled path must still agree
-	// bit for bit (chunk grid + ascending fold pins it).
+	// With scheduling slots available the pooled path must still agree
+	// bit for bit: index-owned slots plus a serial fold pin it.
 	withGOMAXPROCS(t, 4, func() {
 		p := New(8)
-		if got := Reduce(p, n, 0.0, sumChunk, add); got != serial {
-			t.Fatalf("pooled Reduce = %x, serial = %x", got, serial)
+		for trial := 0; trial < 5; trial++ {
+			got, sum := run(p)
+			check("pooled", got, sum, want, wantSum)
 		}
 		if p.SpawnedWorkers() == 0 {
-			t.Fatal("pooled Reduce with 4 slots should have spawned workers")
+			t.Fatal("pooled loop with 4 slots should have spawned workers")
 		}
 
 		outS := make([]float64, n)

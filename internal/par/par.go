@@ -3,16 +3,16 @@
 // bit-identical to a serial execution, regardless of worker count or
 // goroutine scheduling.
 //
-// Determinism contract. Every construct here either (a) writes results
-// into caller-owned slots addressed by loop index (ForEach, ForEachChunk,
-// ForEachScratch), so scheduling cannot reorder anything observable, or
-// (b) reduces per-chunk partial values in ascending chunk order (Reduce).
-// Chunk grids are a pure function of the problem size — never of the
-// worker count — so a 1-worker pool and an N-worker pool associate
-// floating-point reductions identically. Callers keep the contract by
-// never accumulating across indices inside a parallel body; the Frank–
-// Wolfe solver in internal/core leans on this to make Workers=1 and
-// Workers=8 produce byte-identical plans.
+// Determinism contract. Every loop body writes results only into
+// caller-owned slots addressed by its own index (ForEach, ForEachScratch,
+// ForEachCtx), so scheduling cannot reorder anything observable. Callers
+// keep the contract by never accumulating across indices inside a
+// parallel body: any fold over the slots runs afterwards, serially, in
+// index order. Shard-structured callers split work with ShardRanges,
+// whose grid is a pure function of the problem size and shard count,
+// never of the worker count. The Frank–Wolfe solver in internal/core
+// leans on this to make Workers=1 and Workers=8 produce byte-identical
+// plans.
 //
 // Panics inside a body are captured and re-raised on the caller's
 // goroutine (the panic from the lowest-indexed failing item wins, again
@@ -37,7 +37,7 @@ type Pool struct {
 	workers int
 
 	// Always-on stats: a few atomic adds per loop/item, negligible next
-	// to chunk-sized bodies. Observability layers (internal/obs) sample
+	// to the callers' bodies. Observability layers (internal/obs) sample
 	// them through Stats and Pending rather than the pool importing any
 	// metrics package.
 	loops   atomic.Int64
@@ -47,7 +47,7 @@ type Pool struct {
 }
 
 // Stats reports how many parallel loops the pool has run and how many
-// loop items (or chunks) it has executed. Nil pools report zeros.
+// loop items it has executed. Nil pools report zeros.
 func (p *Pool) Stats() (loops, items int64) {
 	if p == nil {
 		return 0, 0
@@ -100,17 +100,9 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Inline reports whether loops on this pool execute on the calling
-// goroutine without any worker handoff: a 1-worker pool, or any pool when
-// the runtime has a single scheduling slot (GOMAXPROCS=1), where spawning
-// workers can only add overhead. Callers with allocation-sensitive hot
-// paths can branch on it to run plain loops instead of closures.
-func (p *Pool) Inline() bool {
-	return p.Workers() == 1 || runtime.GOMAXPROCS(0) == 1
-}
-
 // SpawnedWorkers reports the total number of worker goroutines the pool
-// has launched across all loops. Inline executions spawn none. Nil pools
+// has launched across all loops. Serial executions (one worker, or a
+// single-slot runtime) spawn none. Nil pools
 // report 0.
 func (p *Pool) SpawnedWorkers() int64 {
 	if p == nil {
@@ -187,8 +179,8 @@ func ForEachScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(i in
 		w = n
 	}
 	// On a single-slot runtime, goroutine handoff buys no parallelism and
-	// costs scheduling overhead; degrade to the inline serial loop. The
-	// chunk grid is unchanged, so results stay bit-identical.
+	// costs scheduling overhead; degrade to the serial loop on the calling
+	// goroutine, which writes the same index-owned slots.
 	if w > 1 && runtime.GOMAXPROCS(0) == 1 {
 		w = 1
 	}
@@ -249,43 +241,6 @@ func ForEachScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(i in
 	fp.rethrow()
 }
 
-// ChunkSize returns the fixed chunk width used by ForEachChunk and Reduce
-// for a loop of n items. It depends only on n — never on the worker
-// count — so the chunk grid (and therefore any per-chunk floating-point
-// association) is identical for every pool.
-func ChunkSize(n int) int {
-	// Aim for a fixed ~32-way grid: fine enough to balance 8–16 workers,
-	// coarse enough that dispatch cost stays negligible.
-	c := (n + 31) / 32
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// NumChunks reports how many chunks ForEachChunk and Reduce split n items
-// into.
-func NumChunks(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	c := ChunkSize(n)
-	return (n + c - 1) / c
-}
-
-// Chunk returns the half-open index range [lo, hi) of chunk ci in the
-// fixed grid over [0, n). Useful when a caller flattens several
-// dimensions into one task index and needs the bounds back.
-func Chunk(n, ci int) (lo, hi int) {
-	c := ChunkSize(n)
-	lo = ci * c
-	hi = lo + c
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
 // ShardRanges splits [0, n) into at most shards contiguous half-open
 // ranges [lo, hi), balanced to within one item. The grid is a pure
 // function of (n, shards) — never of the worker count — and ranges are
@@ -308,79 +263,6 @@ func ShardRanges(n, shards int) [][2]int {
 		out[s] = [2]int{s * n / shards, (s + 1) * n / shards}
 	}
 	return out
-}
-
-// ForEachChunk splits [0, n) into the fixed grid of ChunkSize(n)-wide
-// chunks and runs fn(lo, hi) for each chunk. fn must only write state
-// owned by indices in [lo, hi).
-func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	c := ChunkSize(n)
-	p.ForEach(NumChunks(n), func(ci int) {
-		lo := ci * c
-		hi := lo + c
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
-}
-
-// ForEachChunkScratch is ForEachChunk with a per-worker scratch value.
-func ForEachChunkScratch[S any](p *Pool, n int, newScratch func() S, fn func(lo, hi int, s S)) {
-	ForEachChunkScratchFree(p, n, newScratch, fn, nil)
-}
-
-// ForEachChunkScratchFree is ForEachChunkScratch with a release hook (see
-// ForEachScratchFree).
-func ForEachChunkScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(lo, hi int, s S), free func(S)) {
-	if n <= 0 {
-		return
-	}
-	c := ChunkSize(n)
-	ForEachScratchFree(p, NumChunks(n), newScratch, func(ci int, s S) {
-		lo := ci * c
-		hi := lo + c
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi, s)
-	}, free)
-}
-
-// Reduce maps each chunk of the fixed grid over [0, n) to a partial value
-// and folds the partials in ascending chunk order: the result is
-// init ⊕ map(chunk 0) ⊕ map(chunk 1) ⊕ … with a deterministic
-// association, independent of worker count and scheduling.
-func Reduce[A any](p *Pool, n int, init A, mapFn func(lo, hi int) A, mergeFn func(into, next A) A) A {
-	if n <= 0 {
-		return init
-	}
-	if p.Inline() {
-		// Same chunk grid and fold order as the parallel path, without the
-		// partials slice: init ⊕ map(chunk 0) ⊕ map(chunk 1) ⊕ …
-		c := ChunkSize(n)
-		acc := init
-		for lo := 0; lo < n; lo += c {
-			hi := lo + c
-			if hi > n {
-				hi = n
-			}
-			acc = mergeFn(acc, mapFn(lo, hi))
-		}
-		return acc
-	}
-	parts := make([]A, NumChunks(n))
-	p.ForEachChunk(n, func(lo, hi int) {
-		parts[lo/ChunkSize(n)] = mapFn(lo, hi)
-	})
-	acc := init
-	for _, part := range parts {
-		acc = mergeFn(acc, part)
-	}
-	return acc
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: once ctx is done,

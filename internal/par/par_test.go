@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,71 +80,6 @@ func TestForEachScratchIsPerWorker(t *testing.T) {
 	for i, v := range out {
 		if v != 2*i {
 			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestChunkGridIsWorkerIndependent(t *testing.T) {
-	for _, n := range []int{1, 5, 31, 32, 33, 460, 10000} {
-		c := ChunkSize(n)
-		if c < 1 {
-			t.Fatalf("ChunkSize(%d) = %d", n, c)
-		}
-		if NumChunks(n)*c < n || (NumChunks(n)-1)*c >= n {
-			t.Fatalf("n=%d: %d chunks of %d do not tile [0,n)", n, NumChunks(n), c)
-		}
-	}
-	// The grid handed to ForEachChunk must be identical for every pool.
-	for _, n := range []int{17, 460} {
-		ref := [][2]int{}
-		Serial.ForEachChunk(n, func(lo, hi int) { ref = append(ref, [2]int{lo, hi}) })
-		got := make(map[[2]int]bool)
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		New(8).ForEachChunk(n, func(lo, hi int) {
-			<-mu
-			got[[2]int{lo, hi}] = true
-			mu <- struct{}{}
-		})
-		if len(got) != len(ref) {
-			t.Fatalf("n=%d: %d chunks parallel vs %d serial", n, len(got), len(ref))
-		}
-		for _, ch := range ref {
-			if !got[ch] {
-				t.Fatalf("n=%d: chunk %v missing under 8 workers", n, ch)
-			}
-		}
-	}
-}
-
-// TestReduceBitIdentical is the determinism keystone: summing values whose
-// magnitudes differ wildly is association-sensitive, so a scheduling-
-// dependent reduction order would flip low bits. Reduce must produce the
-// exact same float for every worker count, every time.
-func TestReduceBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]float64, 4096)
-	for i := range vals {
-		vals[i] = math.Exp(40 * (rng.Float64() - 0.5))
-	}
-	sum := func(p *Pool) float64 {
-		return Reduce(p, len(vals), 0.0,
-			func(lo, hi int) float64 {
-				var s float64
-				for i := lo; i < hi; i++ {
-					s += vals[i]
-				}
-				return s
-			},
-			func(a, b float64) float64 { return a + b })
-	}
-	ref := sum(Serial)
-	for _, w := range []int{2, 3, 8, 16} {
-		p := New(w)
-		for trial := 0; trial < 20; trial++ {
-			if got := sum(p); math.Float64bits(got) != math.Float64bits(ref) {
-				t.Fatalf("workers=%d trial %d: %x != %x", w, trial, math.Float64bits(got), math.Float64bits(ref))
-			}
 		}
 	}
 }

@@ -106,7 +106,7 @@ func Parse(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("topo: %v", err)
+		return nil, fmt.Errorf("topo: %w", err)
 	}
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("topo: no nodes declared")

@@ -61,7 +61,7 @@ func ParseMatrix(r io.Reader, n int, lookup func(string) (graph.NodeID, bool)) (
 		m.Set(a, b, sum)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("traffic: %v", err)
+		return nil, fmt.Errorf("traffic: %w", err)
 	}
 	return m, nil
 }
